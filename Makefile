@@ -9,10 +9,12 @@ SHA := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 # snapshot layer's concurrency/copy-on-write claims, the scenario
 # overlay/batched-evaluation claims, the warm-start differential
 # evaluation tiers (reuse/fork vs cold), and the end-to-end HTTP serving
-# path (pooled encoders vs encoding/json, plus the coalescing burst).
+# path (plus the coalescing burst). ENCODE_BENCH is the pooled response
+# encoders against encoding/json, in internal/pilgrim.
 KEY_BENCH := BenchmarkFigure09|BenchmarkFigure11|BenchmarkPredict30Transfers$$|BenchmarkSelectFastest|BenchmarkWarmRoute|BenchmarkConcurrentPredict30|BenchmarkWithLinkState|BenchmarkTimelineAppend|BenchmarkPredictAtHorizon|BenchmarkApplyOverlay|BenchmarkEvaluate30x8|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold|BenchmarkGatewayEvaluateFleet|BenchmarkHTTPPredict30|BenchmarkHTTPEvaluate30x8|BenchmarkHTTPCoalesced64Clients
+ENCODE_BENCH := BenchmarkEncodePredict30|BenchmarkEncodeEvaluate30x8
 
-.PHONY: all build test vet race bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
+.PHONY: all build test vet race reach-check bench bench-smoke bench-check bench-baseline bench-fleet campaign-check recovery-check fleet-smoke loadgen-smoke profile clean
 
 all: vet build test
 
@@ -25,8 +27,16 @@ test:
 vet:
 	go vet ./...
 
+# reach-check fails when an internal package is reached by no command
+# and no example: code no binary runs gets deleted, not kept compiling.
+reach-check:
+	@deps=$$(go list -deps ./cmd/... ./examples/...); missing=0; \
+	for p in $$(go list ./internal/...); do \
+		echo "$$deps" | grep -qx "$$p" || { echo "reach-check: $$p is imported by no command or example"; missing=1; }; \
+	done; exit $$missing
+
 race:
-	go test -race ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
+	go test -race ./internal/platform/... ./internal/pilgrim/... ./internal/sim/... ./internal/flow/... ./internal/campaign/... ./internal/store/... ./internal/shard/... ./internal/gateway/...
 
 # recovery-check is the durability gate: WAL framing/torn-tail/corruption
 # fault injection, registry warm-restart byte-identity (with and without
@@ -47,10 +57,12 @@ campaign-check:
 	go run ./cmd/pilgrimsim run examples/campaigns/smoke.yaml
 	go test ./internal/campaign -run 'TestExampleCampaignsGolden|TestReplayConcurrentWithIngestAndHTTP|TestCrashRecoveryDrill'
 
-# bench runs the key benchmarks with -benchmem and writes BENCH_$(SHA).json
-# (ns/op + B/op + allocs/op per benchmark) next to the raw output.
+# bench runs the key and encoder benchmarks with -benchmem and writes
+# BENCH_$(SHA).json (ns/op + B/op + allocs/op per benchmark) next to the
+# raw output.
 bench:
 	go test -run '^$$' -bench '$(KEY_BENCH)' -benchmem -count 1 . | tee bench_$(SHA).out
+	go test -run '^$$' -bench '$(ENCODE_BENCH)' -benchmem -count 1 ./internal/pilgrim | tee -a bench_$(SHA).out
 	go run ./cmd/benchjson < bench_$(SHA).out > BENCH_$(SHA).json
 	@echo wrote BENCH_$(SHA).json
 
@@ -65,14 +77,14 @@ bench-smoke:
 # counts are nearly deterministic, so the tighter threshold holds). Only
 # single-threaded benchmarks gate cross-run: the RunParallel benchmarks
 # scale with the machine's core count and would make a cross-machine
-# comparison meaningless. The second check is within THIS run: the
-# pooled-encoder hot path must stay well ahead of the encoding/json
-# legacy path on the same requests (the in-process hot/legacy
-# sub-benchmarks differ only in the response writer).
+# comparison meaningless. The third check is within THIS run: the
+# pooled encoders must stay well ahead of encoding/json on the same
+# predict and evaluate responses (the BenchmarkEncode* pooled and
+# encoding_json sub-benchmarks differ only in the response writer).
 bench-check: bench
 	go run ./cmd/benchdiff -match 'BenchmarkFigure|BenchmarkPredict30Transfers|BenchmarkEvaluateDifferential30x8|BenchmarkForkVsCold' BENCH_baseline.json BENCH_$(SHA).json
 	go run ./cmd/benchdiff -allocs-threshold 0.10 -match 'BenchmarkHTTPPredict30/hot|BenchmarkHTTPEvaluate30x8/hot' BENCH_baseline.json BENCH_$(SHA).json
-	go run ./cmd/benchdiff -scale 'BenchmarkHTTPPredict30/legacy,BenchmarkHTTPPredict30/hot,1.4;BenchmarkHTTPEvaluate30x8/legacy,BenchmarkHTTPEvaluate30x8/hot,1.4' BENCH_$(SHA).json
+	go run ./cmd/benchdiff -scale 'BenchmarkEncodePredict30/encoding_json,BenchmarkEncodePredict30/pooled,1.4;BenchmarkEncodeEvaluate30x8/encoding_json,BenchmarkEncodeEvaluate30x8/pooled,1.4' BENCH_$(SHA).json
 
 # bench-baseline refreshes the committed baseline from a fresh run; commit
 # the result whenever a PR intentionally shifts performance.

@@ -196,7 +196,7 @@ func BenchmarkIncrementalSharing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := sim.NewSimulation(plat, entry.Config)
+		s := sim.NewSnapshotSimulation(plat.Snapshot(), entry.Config)
 		for k := 0; k < 50; k++ {
 			s.AddTransfer(hosts[idx[k]].ID, hosts[idx[50+k]].ID, 5e8)
 		}
@@ -250,10 +250,10 @@ func benchSelectFastest(b *testing.B, workers int) {
 func BenchmarkSelectFastest8x8Sequential(b *testing.B) { benchSelectFastest(b, 1) }
 func BenchmarkSelectFastest8x8Parallel(b *testing.B)   { benchSelectFastest(b, 0) }
 
-// warmRoutePairs draws a fixed pool of host pairs for the warm-route
-// concurrency benchmarks.
-func warmRoutePairs(b *testing.B) [][2]string {
-	b.Helper()
+// BenchmarkWarmRouteSnapshotParallel measures concurrent warm-route
+// resolution through the compiled snapshot, where a warm route is two
+// lock-free atomic loads, so forecast workers never serialize on routes.
+func BenchmarkWarmRouteSnapshotParallel(b *testing.B) {
 	setup(b)
 	hosts := entry.Platform.Hosts()
 	rng := stats.NewRNG(5)
@@ -262,41 +262,6 @@ func warmRoutePairs(b *testing.B) [][2]string {
 	for i := range pairs {
 		pairs[i] = [2]string{hosts[idx[i]].ID, hosts[idx[64+i]].ID}
 	}
-	return pairs
-}
-
-// BenchmarkWarmRouteRWMutexParallel measures concurrent warm-route
-// resolution through the builder platform's memo, where every read takes
-// the RWMutex in shared mode — the path all forecast traffic used before
-// compiled snapshots.
-func BenchmarkWarmRouteRWMutexParallel(b *testing.B) {
-	pairs := warmRoutePairs(b)
-	plat := entry.Platform
-	for _, p := range pairs {
-		if _, err := plat.RouteBetween(p[0], p[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			p := pairs[i&(len(pairs)-1)]
-			i++
-			if _, err := plat.RouteBetween(p[0], p[1]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkWarmRouteSnapshotParallel is the same workload through the
-// compiled snapshot, where a warm route is one lock-free map load. The
-// throughput gap against the RWMutex variant is the tentpole's
-// concurrency claim.
-func BenchmarkWarmRouteSnapshotParallel(b *testing.B) {
-	pairs := warmRoutePairs(b)
 	snap := entry.Platform.Snapshot()
 	for _, p := range pairs {
 		if _, err := snap.Route(p[0], p[1]); err != nil {
@@ -564,6 +529,7 @@ func BenchmarkRoutingHierarchical(b *testing.B) {
 		}
 		// Resolve a representative sample of routes (full resolution is
 		// quadratic; the flat variant pays it at build time instead).
+		snap := plat.Snapshot()
 		hosts := plat.Hosts()
 		for k := 0; k < 100; k++ {
 			a := hosts[(k*37)%len(hosts)]
@@ -571,7 +537,7 @@ func BenchmarkRoutingHierarchical(b *testing.B) {
 			if a == c {
 				continue
 			}
-			if _, err := plat.RouteBetween(a.ID, c.ID); err != nil {
+			if _, err := snap.Route(a.ID, c.ID); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -587,6 +553,7 @@ func BenchmarkRoutingFlat(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		snap := plat.Snapshot()
 		hosts := plat.Hosts()
 		for k := 0; k < 100; k++ {
 			a := hosts[(k*37)%len(hosts)]
@@ -594,7 +561,7 @@ func BenchmarkRoutingFlat(b *testing.B) {
 			if a == c {
 				continue
 			}
-			if _, err := plat.RouteBetween(a.ID, c.ID); err != nil {
+			if _, err := snap.Route(a.ID, c.ID); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -803,7 +770,7 @@ func BenchmarkEvaluateDifferential30x8(b *testing.B) {
 // the base engine's pre-run checkpoint, versus a full cold run. The fork
 // skips route resolution and activity scheduling and re-prices only the
 // changed constraint; both produce bit-identical results
-// (TestRunPlanDiffMatchesCold).
+// (TestPlanDifferentialMatchesCold).
 func BenchmarkForkVsCold(b *testing.B) {
 	setup(b)
 	snap := entry.Platform.Snapshot()

@@ -9,7 +9,6 @@
 //	         [-forecast-cache N] [-forecast-workers N]
 //	         [-timeline-depth N] [-forecast-horizon-max D]
 //	         [-max-scenarios N] [-max-evaluate-fanout N]
-//	         [-differential-eval=BOOL] [-legacy-json]
 //	         [-data-dir DIR] [-fsync POLICY] [-snapshot-every N]
 //	         [-max-inflight N] [-max-queue N] [-max-body-bytes N]
 //	         [-drain-timeout D]
@@ -31,9 +30,8 @@
 // served with -rrd-tree. Batched what-if evaluation
 // (POST /pilgrim/evaluate/{platform}: N scenarios × M queries) is bounded
 // by -max-scenarios and -max-evaluate-fanout; derived scenario epochs are
-// answered by warm-start reuse/fork of base runs unless
-// -differential-eval=false forces cold evaluation (results are identical
-// either way).
+// answered by warm-start reuse/fork of base runs, bit-identical to cold
+// simulation.
 //
 // With -data-dir the registry is durable: every accepted observation,
 // background estimate, and rejected batch is written to a CRC-checked
@@ -97,8 +95,6 @@ type options struct {
 	horizon      time.Duration
 	maxScenarios int
 	maxFanout    int
-	differential bool
-	legacyJSON   bool
 
 	dataDir       string
 	fsync         store.FsyncPolicy
@@ -128,8 +124,6 @@ func main() {
 	flag.DurationVar(&o.horizon, "forecast-horizon-max", pilgrim.DefaultForecastHorizon, "how far past the newest observation at= queries may extrapolate (beyond: HTTP 400)")
 	flag.IntVar(&o.maxScenarios, "max-scenarios", pilgrim.DefaultMaxScenarios, "scenarios accepted per evaluate request")
 	flag.IntVar(&o.maxFanout, "max-evaluate-fanout", pilgrim.DefaultMaxEvaluateCells, "scenario×query cells accepted per evaluate request")
-	flag.BoolVar(&o.differential, "differential-eval", true, "answer derived scenario epochs by warm-start reuse/fork of base runs (false: always simulate cold; results identical)")
-	flag.BoolVar(&o.legacyJSON, "legacy-json", false, "serve hot simulation responses through encoding/json instead of the pooled encoders (output identical; diagnostic escape hatch)")
 	dataDir := flag.String("data-dir", "", "directory for the durable registry store (empty: in-memory only, state lost on restart)")
 	fsyncStr := flag.String("fsync", "interval", "WAL durability policy: always (fsync per record), interval (background fsync), never (OS page cache only)")
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", store.DefaultCompactEvery, "WAL records between snapshot compactions")
@@ -267,8 +261,6 @@ func run(ctx context.Context, o options) error {
 		server.SetForecastWorkers(o.workers)
 	}
 	server.SetEvaluateLimits(o.maxScenarios, o.maxFanout)
-	server.SetDifferentialEval(o.differential)
-	server.SetLegacyJSON(o.legacyJSON)
 	server.SetAdmission(o.maxInflight, o.maxQueue, 0)
 	server.SetMaxBodyBytes(o.maxBodyBytes)
 

@@ -18,8 +18,9 @@ import (
 // The end-to-end HTTP benchmarks measure the whole serving hot path —
 // routing, admission, query parse, cache lookup, response encode — over
 // a real net/http round trip, the numbers a deployed pilgrimd actually
-// delivers. The hot/legacy sub-benchmarks isolate the pooled-encoder
-// work: same server, same requests, only the JSON writer differs.
+// delivers. The hot sub-benchmarks serve in process; the pooled encoders
+// themselves are measured against encoding/json by the
+// BenchmarkEncode* pairs in internal/pilgrim.
 
 // benchServer builds a pilgrimd-shaped server with g5k_test registered
 // and a warm forecast cache in front of an httptest listener.
@@ -120,9 +121,8 @@ func serveDirect(b *testing.B, s *pilgrim.Server, method, url string, body []byt
 // BenchmarkHTTPPredict30 is the paper's typical request (§IV-C2: 30
 // concurrent transfers) served through the full HTTP stack with a warm
 // forecast cache: the repeated-poll path a resource manager exercises.
-// The hot/legacy sub-benchmarks run in process (socket and client costs
-// excluded, so the pooled-encoder delta is what's measured — the bench
-// gate asserts hot beats legacy on both ns/op and allocs/op); wire is
+// The hot sub-benchmark runs in process (socket and client costs
+// excluded; the bench gate holds its allocs/op to the baseline); wire is
 // the same request over a real httptest round trip, the deployed
 // latency number.
 func BenchmarkHTTPPredict30(b *testing.B) {
@@ -130,20 +130,13 @@ func BenchmarkHTTPPredict30(b *testing.B) {
 	url := predictURL(srv.URL)
 	client := srv.Client()
 	benchGet(b, client, url) // warm the cache: steady state is the hit path
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"hot", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s.SetLegacyJSON(mode.legacy)
-			defer s.SetLegacyJSON(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveDirect(b, s, http.MethodGet, url, nil)
-			}
-		})
-	}
+	b.Run("hot", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodGet, url, nil)
+		}
+	})
 	b.Run("wire", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -189,20 +182,13 @@ func BenchmarkHTTPEvaluate30x8(b *testing.B) {
 		}
 	}
 	post() // warm the forecast and overlay caches
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"hot", false}, {"legacy", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s.SetLegacyJSON(mode.legacy)
-			defer s.SetLegacyJSON(false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveDirect(b, s, http.MethodPost, url, body.Bytes())
-			}
-		})
-	}
+	b.Run("hot", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveDirect(b, s, http.MethodPost, url, body.Bytes())
+		}
+	})
 	b.Run("wire", func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()

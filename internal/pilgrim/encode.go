@@ -19,8 +19,9 @@ import (
 // every response; these encoders know the three shapes statically and
 // append into a reused buffer instead.
 //
-// The contract — pinned by TestHotEncodersMatchEncodingJSON and the
-// fuzz target — is byte identity with the legacy path:
+// The contract — pinned by the Test*MatchEncodingJSON tables,
+// TestHandlersServeEncodingJSONBytes and the fuzz target — is byte
+// identity with encoding/json as writeJSON drives it:
 //
 //	enc := json.NewEncoder(w); enc.SetIndent("", " "); enc.Encode(v)
 //
@@ -36,8 +37,8 @@ import (
 // hotEnc is one pooled encode buffer.
 type hotEnc struct {
 	buf []byte
-	// fallback records an input the hot path must not encode (the
-	// legacy encoder errors on it, or reproducing it exactly is not
+	// fallback records an input the hot path must not encode
+	// (encoding/json errors on it, or reproducing it exactly is not
 	// worth hand-rolling); the caller falls back to encoding/json.
 	fallback bool
 }
@@ -136,7 +137,7 @@ func (e *hotEnc) str(s string) {
 // f64 appends a float in ES6 number-to-string form (encoding/json's
 // floatEncoder): 'f' format inside [1e-6, 1e21), 'e' outside, with the
 // two-digit negative exponent collapsed (e-09 → e-9). Non-finite values
-// flip the fallback flag — the legacy encoder rejects them, and the
+// flip the fallback flag — encoding/json rejects them, and the
 // caller must reproduce that, not invent a representation.
 func (e *hotEnc) f64(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
@@ -267,8 +268,8 @@ func (e *hotEnc) field(first *bool, depth int, key string) {
 // workflow grid is cold (one cell kind, never the QPS path) and its
 // schedule shape is owned by the workflow package. json.Indent re-bases
 // the compact marshal onto the surrounding ladder: prefix = the
-// member's depth, indent = one space, which is exactly how the legacy
-// encoder renders a nested value.
+// member's depth, indent = one space, which is exactly how
+// encoding/json renders a nested value.
 func (e *hotEnc) forecast(f *workflow.Forecast, depth int) {
 	compact, err := json.Marshal(f)
 	if err != nil {
@@ -413,7 +414,7 @@ func (e *hotEnc) evaluateStats(st *EvaluateStats, depth int) {
 const evalFlushThreshold = 64 << 10
 
 // writeHotJSON finishes one hot-path response: on a clean encode the
-// pooled buffer goes out in one Write; on fallback the legacy encoder
+// pooled buffer goes out in one Write; on fallback encoding/json
 // re-renders v from scratch (headers not yet written, so the two paths
 // are indistinguishable on the wire).
 func writeHotJSON(w http.ResponseWriter, e *hotEnc, v any) {
@@ -428,11 +429,7 @@ func writeHotJSON(w http.ResponseWriter, e *hotEnc, v any) {
 }
 
 // writePredictions answers predict_transfers.
-func (s *Server) writePredictions(w http.ResponseWriter, preds []Prediction) {
-	if s.legacyJSON.Load() {
-		writeJSON(w, preds)
-		return
-	}
+func writePredictions(w http.ResponseWriter, preds []Prediction) {
 	e := getEnc()
 	e.predictions(preds, 0)
 	e.raw("\n")
@@ -440,18 +437,14 @@ func (s *Server) writePredictions(w http.ResponseWriter, preds []Prediction) {
 }
 
 // writeSelectFastest answers select_fastest.
-func (s *Server) writeSelectFastest(w http.ResponseWriter, best int, results []HypothesisResult) {
-	if s.legacyJSON.Load() {
-		writeJSON(w, selectFastestResponse{Best: best, Results: results})
-		return
-	}
+func writeSelectFastest(w http.ResponseWriter, best int, results []HypothesisResult) {
 	e := getEnc()
 	e.selectFastestResponse(best, results)
 	writeHotJSON(w, e, selectFastestResponse{Best: best, Results: results})
 }
 
-// selectFastestResponse is the select_fastest answer shape (shared by
-// the hot encoder's fallback and the legacy path).
+// selectFastestResponse is the select_fastest answer shape for the hot
+// encoder's encoding/json fallback.
 type selectFastestResponse struct {
 	Best    int                `json:"best"`
 	Results []HypothesisResult `json:"results"`
@@ -462,14 +455,9 @@ type selectFastestResponse struct {
 // evalFlushThreshold boundaries, so response memory stays bounded by
 // the largest row, not the grid. The fallback decision is made before
 // the first flush; a non-finite value appearing in a later row of an
-// already-streaming response truncates it (the legacy encoder would
-// have sent nothing — but no simulation produces non-finite output, so
-// this corner exists only for the flag check below).
-func (s *Server) writeEvaluate(w http.ResponseWriter, resp *EvaluateResponse) {
-	if s.legacyJSON.Load() {
-		writeJSON(w, resp)
-		return
-	}
+// already-streaming response truncates it (encoding/json would have sent
+// nothing — but no simulation produces non-finite output).
+func writeEvaluate(w http.ResponseWriter, resp *EvaluateResponse) {
 	e := getEnc()
 	e.raw("{")
 	e.nl(1)

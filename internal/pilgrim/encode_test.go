@@ -2,7 +2,9 @@ package pilgrim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -10,18 +12,23 @@ import (
 	"strings"
 	"testing"
 
+	"pilgrim/internal/g5k"
+	"pilgrim/internal/platgen"
+	"pilgrim/internal/scenario"
+	"pilgrim/internal/sim"
+	"pilgrim/internal/stats"
 	"pilgrim/internal/workflow"
 )
 
-// legacyBytes renders v exactly as writeJSON does: the byte-identity
+// stdJSONBytes renders v exactly as writeJSON does: the byte-identity
 // reference for every hot encoder.
-func legacyBytes(t testing.TB, v any) []byte {
+func stdJSONBytes(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
-		t.Fatalf("legacy encode: %v", err)
+		t.Fatalf("encoding/json encode: %v", err)
 	}
 	return buf.Bytes()
 }
@@ -80,8 +87,8 @@ func TestHotPredictionsMatchEncodingJSON(t *testing.T) {
 			t.Errorf("case %d: unexpected fallback", i)
 			continue
 		}
-		if want := legacyBytes(t, preds); !bytes.Equal(got, want) {
-			t.Errorf("case %d: hot encoder diverged\nhot:    %q\nlegacy: %q", i, got, want)
+		if want := stdJSONBytes(t, preds); !bytes.Equal(got, want) {
+			t.Errorf("case %d: hot encoder diverged\nhot:    %q\njson:   %q", i, got, want)
 		}
 	}
 }
@@ -118,9 +125,9 @@ func TestHotSelectFastestMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("case %d: unexpected fallback", i)
 			continue
 		}
-		want := legacyBytes(t, selectFastestResponse{Best: c.best, Results: c.results})
+		want := stdJSONBytes(t, selectFastestResponse{Best: c.best, Results: c.results})
 		if !bytes.Equal(got, want) {
-			t.Errorf("case %d: hot encoder diverged\nhot:    %q\nlegacy: %q", i, got, want)
+			t.Errorf("case %d: hot encoder diverged\nhot:    %q\njson:   %q", i, got, want)
 		}
 	}
 }
@@ -157,12 +164,11 @@ func evaluateResponses() []*EvaluateResponse {
 }
 
 func TestHotEvaluateMatchesEncodingJSON(t *testing.T) {
-	s := NewServer(nil, nil)
 	for i, resp := range evaluateResponses() {
 		rec := httptest.NewRecorder()
-		s.writeEvaluate(rec, resp)
-		if want := legacyBytes(t, resp); !bytes.Equal(rec.Body.Bytes(), want) {
-			t.Errorf("case %d: hot encoder diverged\nhot:    %q\nlegacy: %q", i, rec.Body.Bytes(), want)
+		writeEvaluate(rec, resp)
+		if want := stdJSONBytes(t, resp); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("case %d: hot encoder diverged\nhot:    %q\njson:   %q", i, rec.Body.Bytes(), want)
 		}
 	}
 }
@@ -180,63 +186,110 @@ func TestHotEvaluateStreamsLargeGrids(t *testing.T) {
 		rows = append(rows, ScenarioResult{Name: "sc", Epoch: uint64(i + 1), Results: []EvalResult{{Predictions: preds}}})
 	}
 	resp := &EvaluateResponse{Platform: "p", Scenarios: rows, Stats: EvaluateStats{Scenarios: 200, Queries: 1, Cells: 200, Groups: 200}}
-	want := legacyBytes(t, resp)
+	want := stdJSONBytes(t, resp)
 	if len(want) < 2*evalFlushThreshold {
 		t.Fatalf("test response too small to stream: %d bytes", len(want))
 	}
-	s := NewServer(nil, nil)
 	rec := httptest.NewRecorder()
-	s.writeEvaluate(rec, resp)
+	writeEvaluate(rec, resp)
 	if !bytes.Equal(rec.Body.Bytes(), want) {
 		t.Fatalf("streamed evaluate diverged (%d vs %d bytes)", rec.Body.Len(), len(want))
 	}
 }
 
-// TestLegacyJSONEscapeHatch pins that -legacy-json routes the same
-// response through encoding/json — and that both paths serve identical
-// bytes over real HTTP.
-func TestLegacyJSONEscapeHatch(t *testing.T) {
+// TestHandlersServeEncodingJSONBytes is the handler-level differential
+// table: over real HTTP, predict_transfers, select_fastest and evaluate
+// must serve exactly the bytes encoding/json renders for the same
+// answer, computed independently through the library.
+func TestHandlersServeEncodingJSONBytes(t *testing.T) {
 	entry := miniEntry(t)
 	reg := NewRegistry()
 	if err := reg.Add("g5k_test", entry); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, nil)
-	srv := httptest.NewServer(s)
+	srv := httptest.NewServer(NewServer(reg, nil))
 	defer srv.Close()
 
-	urls := []string{
-		"/pilgrim/predict_transfers/g5k_test?transfer=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8",
-		"/pilgrim/select_fastest/g5k_test?hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-2.lyon.grid5000.fr,5e8&hypothesis=sagittaire-1.lyon.grid5000.fr,sagittaire-3.lyon.grid5000.fr,5e8",
+	const (
+		src  = "sagittaire-1.lyon.grid5000.fr"
+		dst  = "sagittaire-2.lyon.grid5000.fr"
+		dst2 = "sagittaire-3.lyon.grid5000.fr"
+	)
+	pair := []TransferRequest{{Src: src, Dst: dst, Size: 5e8}}
+	hyps := []Hypothesis{{Transfers: pair}, {Transfers: []TransferRequest{{Src: src, Dst: dst2, Size: 5e8}}}}
+	preds, err := PredictTransfers(entry, pair, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, u := range urls {
-		hot := httpGetBody(t, srv.URL+u)
-		s.SetLegacyJSON(true)
-		legacy := httpGetBody(t, srv.URL+u)
-		s.SetLegacyJSON(false)
-		if !bytes.Equal(hot, legacy) {
-			t.Errorf("%s: hot and legacy bodies differ\nhot:    %q\nlegacy: %q", u, hot, legacy)
+	best, results, err := NewWorkerPool(1).SelectFastest(entry, hyps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Base-epoch and failing scenarios only: derived epochs get
+	// process-unique ids, which a second evaluator would not reproduce.
+	evalReq := EvaluateRequest{
+		Scenarios: []scenario.Scenario{
+			{Name: "baseline"},
+			{Name: "<bad> & broken", Mutations: []scenario.Mutation{{Op: scenario.OpFailLink, Link: "no-such-link"}}},
+		},
+		Queries: []EvalQuery{
+			{Kind: QueryPredictTransfers, Transfers: pair},
+			{Kind: QuerySelectFastest, Hypotheses: hyps},
+		},
+	}
+	evalResp, err := NewServer(reg, nil).evaluator().EvaluateCtx(context.Background(), "g5k_test", evalReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalBody, err := json.Marshal(evalReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// evaluate goes first: its stats count cache hits, so the server's
+	// cache must be as fresh as the reference evaluator's.
+	cases := []struct {
+		name string
+		path string
+		body []byte // nil: GET
+		want any
+	}{
+		{"evaluate", "/pilgrim/evaluate/g5k_test", evalBody, evalResp},
+		{"predict_transfers", "/pilgrim/predict_transfers/g5k_test?transfer=" + src + "," + dst + ",5e8", nil, preds},
+		{"select_fastest", "/pilgrim/select_fastest/g5k_test?hypothesis=" + src + "," + dst + ",5e8&hypothesis=" + src + "," + dst2 + ",5e8", nil,
+			selectFastestResponse{Best: best, Results: results}},
+	}
+	for _, c := range cases {
+		got := httpBody(t, srv.URL+c.path, c.body)
+		if want := stdJSONBytes(t, c.want); !bytes.Equal(got, want) {
+			t.Errorf("%s: served bytes differ from encoding/json\nhot:    %q\njson:   %q", c.name, got, want)
 		}
 	}
 }
 
-// httpGetBody fetches one URL and returns the body, failing the test
-// on transport or status errors.
-func httpGetBody(t *testing.T, url string) []byte {
+// httpBody GETs (nil body) or POSTs one URL and returns the response
+// body, failing the test on transport or status errors.
+func httpBody(t *testing.T, url string, body []byte) []byte {
 	t.Helper()
-	resp, err := http.Get(url)
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", bytes.NewReader(body))
+	}
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatalf("%s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	got, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("GET %s: reading body: %v", url, err)
+		t.Fatalf("%s: reading body: %v", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+		t.Fatalf("%s: status %d: %s", url, resp.StatusCode, got)
 	}
-	return body
+	return got
 }
 
 // FuzzHotPredictionsEncoder fuzzes the prediction encoder against
@@ -259,8 +312,103 @@ func FuzzHotPredictionsEncoder(f *testing.F) {
 		if fallback {
 			t.Fatalf("unexpected fallback for %+v", preds)
 		}
-		if want := legacyBytes(t, preds); !bytes.Equal(got, want) {
-			t.Fatalf("hot encoder diverged\nhot:    %q\nlegacy: %q", got, want)
+		if want := stdJSONBytes(t, preds); !bytes.Equal(got, want) {
+			t.Fatalf("hot encoder diverged\nhot:    %q\njson:   %q", got, want)
 		}
 	})
+}
+
+// discardWriter is a ResponseWriter that counts and drops the served
+// bytes, so the encoder benchmarks measure encoding, not buffering.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header { return w.h }
+func (w *discardWriter) WriteHeader(int)     {}
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// benchEncoders runs the pooled hot encoder and the encoding/json path
+// (writeJSON, also the hot encoder's fallback) over the same response;
+// the bench gate requires pooled to beat encoding_json in the same run.
+func benchEncoders(b *testing.B, pooled func(http.ResponseWriter), v any) {
+	for _, mode := range []struct {
+		name  string
+		write func(http.ResponseWriter)
+	}{
+		{"pooled", pooled},
+		{"encoding_json", func(w http.ResponseWriter) { writeJSON(w, v) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			w := &discardWriter{h: make(http.Header, 1)}
+			mode.write(w) // warm the encoder pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mode.write(w)
+			}
+		})
+	}
+}
+
+// benchEntry30 builds the g5k_test platform and the paper's
+// 30-concurrent-transfers workload (same RNG and hosts as the root
+// BenchmarkPredict30Transfers).
+func benchEntry30(b *testing.B) (PlatformEntry, []TransferRequest) {
+	b.Helper()
+	plat, err := platgen.Generate(g5k.Default(), platgen.Options{Variant: platgen.G5KTest})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entry := PlatformEntry{Platform: plat, Config: sim.DefaultConfig()}
+	hosts := plat.Hosts()
+	idx := stats.NewRNG(42).Sample(len(hosts), 60)
+	reqs := make([]TransferRequest, 30)
+	for k := range reqs {
+		reqs[k] = TransferRequest{Src: hosts[idx[k]].ID, Dst: hosts[idx[30+k]].ID, Size: 5e8}
+	}
+	return entry, reqs
+}
+
+// BenchmarkEncodePredict30 encodes the 30-transfer predict_transfers
+// response.
+func BenchmarkEncodePredict30(b *testing.B) {
+	entry, reqs := benchEntry30(b)
+	preds, err := PredictTransfers(entry, reqs, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEncoders(b, func(w http.ResponseWriter) { writePredictions(w, preds) }, preds)
+}
+
+// BenchmarkEncodeEvaluate30x8 encodes an 8-scenario × 30-transfer
+// evaluate grid (the root BenchmarkHTTPEvaluate30x8 request).
+func BenchmarkEncodeEvaluate30x8(b *testing.B) {
+	entry, reqs := benchEntry30(b)
+	reg := NewRegistry()
+	if err := reg.Add("g5k_test", entry); err != nil {
+		b.Fatal(err)
+	}
+	links := entry.Platform.Links()
+	req := EvaluateRequest{
+		Scenarios: []scenario.Scenario{{Name: "baseline"}},
+		Queries:   []EvalQuery{{Kind: QueryPredictTransfers, Transfers: reqs}},
+	}
+	for i := 1; i < 8; i++ {
+		req.Scenarios = append(req.Scenarios, scenario.Scenario{
+			Name: fmt.Sprintf("deg%d", i),
+			Mutations: []scenario.Mutation{{
+				Op: scenario.OpScaleLink, Link: links[i%len(links)].ID, BandwidthFactor: float64(i+1) / 10,
+			}},
+		})
+	}
+	resp, err := NewServer(reg, nil).evaluator().EvaluateCtx(context.Background(), "g5k_test", req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEncoders(b, func(w http.ResponseWriter) { writeEvaluate(w, resp) }, resp)
 }

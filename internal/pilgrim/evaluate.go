@@ -288,10 +288,9 @@ type Evaluator struct {
 	MaxScenarios int
 	MaxCells     int
 	// DisableDifferential forces every group to evaluate cold, turning off
-	// the warm-start base-run+delta machinery (the pilgrimd
-	// -differential-eval=false escape hatch). The zero value — differential
-	// evaluation on — is the intended configuration; results are
-	// bit-identical either way.
+	// the warm-start base-run+delta machinery. It exists as the cold
+	// reference the differential tests and benchmarks compare against;
+	// results are bit-identical either way.
 	DisableDifferential bool
 }
 
@@ -931,9 +930,9 @@ func (ev *Evaluator) runSuperGroup(ctx context.Context, name string, sg *superGr
 		answers  []subAnswer
 		need     []int // dsub indices this member still has to resolve
 		class    []sim.DeltaClass
-		cold     []int                // dsub indices falling back to a cold run
-		led      map[int]*flightCall  // flights this member leads, by dsub index
-		followed map[int]*flightCall  // flights owned by other requests, by dsub index
+		cold     []int               // dsub indices falling back to a cold run
+		led      map[int]*flightCall // flights this member leads, by dsub index
+		followed map[int]*flightCall // flights owned by other requests, by dsub index
 	}
 	needBase := make([]bool, len(dsubs))
 	wantCk := make([]bool, len(dsubs))

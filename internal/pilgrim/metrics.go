@@ -34,7 +34,6 @@ type Label struct{ Name, Value string }
 // family even when samples with different label sets are added
 // interleaved.
 type Exposition struct {
-	b     strings.Builder
 	seen  map[string]bool
 	order []string
 	rows  map[string][]string
@@ -89,22 +88,23 @@ func (e *Exposition) SortFamily(name string) {
 
 // Bytes renders the document.
 func (e *Exposition) Bytes() []byte {
+	var b strings.Builder
 	for _, name := range e.order {
-		e.b.WriteString("# HELP ")
-		e.b.WriteString(name)
-		e.b.WriteByte(' ')
-		e.b.WriteString(escapeHelp(e.help[name]))
-		e.b.WriteString("\n# TYPE ")
-		e.b.WriteString(name)
-		e.b.WriteByte(' ')
-		e.b.WriteString(string(e.typ[name]))
-		e.b.WriteByte('\n')
+		b.WriteString("# HELP ")
+		b.WriteString(name)
+		b.WriteByte(' ')
+		b.WriteString(escapeHelp(e.help[name]))
+		b.WriteString("\n# TYPE ")
+		b.WriteString(name)
+		b.WriteByte(' ')
+		b.WriteString(string(e.typ[name]))
+		b.WriteByte('\n')
 		for _, row := range e.rows[name] {
-			e.b.WriteString(row)
-			e.b.WriteByte('\n')
+			b.WriteString(row)
+			b.WriteByte('\n')
 		}
 	}
-	return []byte(e.b.String())
+	return []byte(b.String())
 }
 
 // WriteTo serves the document over HTTP with the exposition content

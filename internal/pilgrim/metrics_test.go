@@ -180,6 +180,14 @@ func TestMetricsExpositionContract(t *testing.T) {
 	if got := values["pilgrim_forecast_cache_misses_total"]; got != float64(cs.Misses) {
 		t.Errorf("metrics misses %v != cache_stats misses %d", got, cs.Misses)
 	}
+
+	// Rendering is repeatable: a second Bytes call returns the same
+	// document, not the document twice.
+	e := NewExposition()
+	WriteServerMetrics(e, srv.Config.Handler.(*Server))
+	if first, second := e.Bytes(), e.Bytes(); string(first) != string(second) {
+		t.Errorf("Exposition.Bytes not repeatable: %d bytes, then %d", len(first), len(second))
+	}
 }
 
 // TestMetricsShardIdentity checks the shard families appear once the

@@ -43,16 +43,6 @@ type Server struct {
 	maxScenarios atomic.Int64
 	maxCells     atomic.Int64
 
-	// differentialOff disables warm-start differential evaluation (the
-	// -differential-eval=false escape hatch); the zero value keeps it on.
-	differentialOff atomic.Bool
-
-	// legacyJSON routes the hot simulation responses through
-	// encoding/json instead of the pooled hand-rolled encoders (the
-	// -legacy-json escape hatch); the zero value keeps the hot path on.
-	// Output is byte-identical either way.
-	legacyJSON atomic.Bool
-
 	// admission bounds the simulation endpoints (nil: unlimited);
 	// maxBodyBytes caps request bodies on the body-carrying endpoints
 	// (0 selects DefaultMaxBodyBytes).
@@ -292,35 +282,16 @@ func (s *Server) ownsPlatform(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// SetDifferentialEval enables (the default) or disables warm-start
-// differential evaluation of derived scenario epochs — the pilgrimd
-// -differential-eval flag. Disabling it forces every group to simulate
-// cold; results are bit-identical either way.
-func (s *Server) SetDifferentialEval(on bool) {
-	s.differentialOff.Store(!on)
-}
-
-// SetLegacyJSON routes the hot simulation responses (predict_transfers,
-// select_fastest, evaluate) through encoding/json instead of the pooled
-// hand-rolled encoders — the pilgrimd -legacy-json escape hatch. The
-// two paths produce byte-identical output (pinned by the encoder
-// differential tests); the flag exists so a suspected encoder bug can
-// be ruled out in production without a rebuild.
-func (s *Server) SetLegacyJSON(on bool) {
-	s.legacyJSON.Store(on)
-}
-
 // evaluator assembles the evaluate machinery from the server's live
 // configuration.
 func (s *Server) evaluator() *Evaluator {
 	return &Evaluator{
-		Platforms:           s.platforms,
-		Cache:               s.cache.Load(),
-		Pool:                s.pool.Load(),
-		Overlays:            s.overlays.Load(),
-		MaxScenarios:        int(s.maxScenarios.Load()),
-		MaxCells:            int(s.maxCells.Load()),
-		DisableDifferential: s.differentialOff.Load(),
+		Platforms:    s.platforms,
+		Cache:        s.cache.Load(),
+		Pool:         s.pool.Load(),
+		Overlays:     s.overlays.Load(),
+		MaxScenarios: int(s.maxScenarios.Load()),
+		MaxCells:     int(s.maxCells.Load()),
 	}
 }
 
@@ -434,7 +405,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.writePredictions(w, preds)
+	writePredictions(w, preds)
 }
 
 // handleCacheStats reports the forecast cache's hit/miss counters, the
@@ -498,7 +469,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.writeEvaluate(w, resp)
+	writeEvaluate(w, resp)
 }
 
 // bodyScratch pools the body-read buffers behind decodeJSONBody: the
@@ -666,7 +637,7 @@ func (s *Server) handleSelectFastest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.writeSelectFastest(w, best, results)
+	writeSelectFastest(w, best, results)
 }
 
 // handleWorkflow implements the workflow-forecast extension (future work

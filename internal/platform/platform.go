@@ -141,16 +141,6 @@ func (r Route) reverse() Route {
 	return out
 }
 
-// concat returns the concatenation of routes.
-func concat(rs ...Route) Route {
-	var out Route
-	for _, r := range rs {
-		out.Links = append(out.Links, r.Links...)
-		out.Latency += r.Latency
-	}
-	return out
-}
-
 // PointKind discriminates the entities that can be route endpoints inside
 // an AS.
 type PointKind int
@@ -286,20 +276,18 @@ type AS struct {
 // and links have platform-unique names (as on Grid'5000, where node names
 // embed their site).
 //
-// Building a platform is not safe for concurrent use; once built, route
-// resolution (RouteBetween) may be called from multiple goroutines — the
-// forecast service resolves routes from concurrent HTTP requests. For the
-// lock-free read path the forecast layers actually serve from, see
-// Snapshot: Compile lowers the platform into an immutable integer-indexed
-// form, memoized here and invalidated on mutation.
+// Building a platform is not safe for concurrent use. Routes are resolved
+// on its compiled form: Compile lowers the platform into an immutable
+// integer-indexed Snapshot whose reads are lock-free, memoized here and
+// invalidated on mutation.
 type Platform struct {
 	root    *AS
 	hosts   map[string]*Host
 	routers map[string]*Router
 	links   map[string]*Link
 
-	mu    sync.RWMutex
-	cache map[pairKey]Route
+	// mu serializes Compile, which builds the Floyd tables lazily.
+	mu sync.Mutex
 
 	// snap memoizes the compiled base-epoch snapshot (see snapshot.go);
 	// builders drop it on every mutation via InvalidateRouteCache.
@@ -312,7 +300,6 @@ func New(rootID string, routing RoutingKind) *Platform {
 		hosts:   make(map[string]*Host),
 		routers: make(map[string]*Router),
 		links:   make(map[string]*Link),
-		cache:   make(map[pairKey]Route),
 	}
 	p.root = newAS(rootID, routing, nil, p)
 	return p
@@ -382,13 +369,11 @@ func (p *Platform) NumHosts() int { return len(p.hosts) }
 // NumLinks returns the number of links on the platform.
 func (p *Platform) NumLinks() int { return len(p.links) }
 
-// InvalidateRouteCache drops memoized end-to-end routes and the compiled
-// snapshot memo. Builders call it automatically; it is exported for tests
-// and tooling. Snapshots already handed out are immutable and unaffected.
+// InvalidateRouteCache drops the compiled snapshot memo, and with it every
+// memoized end-to-end route. Builders call it automatically; it is
+// exported for tests and tooling. Snapshots already handed out are
+// immutable and unaffected.
 func (p *Platform) InvalidateRouteCache() {
-	p.mu.Lock()
-	p.cache = make(map[pairKey]Route)
-	p.mu.Unlock()
 	p.snap.Store(nil)
 }
 

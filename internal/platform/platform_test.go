@@ -74,9 +74,20 @@ func buildTwoSitePlatform(t *testing.T) *Platform {
 	return p
 }
 
+// routeOf resolves src->dst on the platform's compiled snapshot and
+// expands the result back to builder links.
+func routeOf(p *Platform, src, dst string) (Route, error) {
+	s := p.Snapshot()
+	r, err := s.Route(src, dst)
+	if err != nil {
+		return Route{}, err
+	}
+	return Route{Links: s.ExpandRoute(r), Latency: s.RouteLatency(r)}, nil
+}
+
 func TestIntraSiteRoute(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	r, err := p.RouteBetween("sagittaire-1", "sagittaire-2")
+	r, err := routeOf(p, "sagittaire-1", "sagittaire-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestIntraSiteRoute(t *testing.T) {
 
 func TestCrossSiteRouteSplicesGateways(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	r, err := p.RouteBetween("sagittaire-1", "graphene-2")
+	r, err := routeOf(p, "sagittaire-1", "graphene-2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +123,11 @@ func TestCrossSiteRouteSplicesGateways(t *testing.T) {
 
 func TestReverseRouteFlipsDirections(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	fwd, err := p.RouteBetween("sagittaire-1", "graphene-2")
+	fwd, err := routeOf(p, "sagittaire-1", "graphene-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := p.RouteBetween("graphene-2", "sagittaire-1")
+	rev, err := routeOf(p, "graphene-2", "sagittaire-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +148,14 @@ func TestReverseRouteFlipsDirections(t *testing.T) {
 
 func TestRouteToSelfFails(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "sagittaire-1"); err == nil {
+	if _, err := routeOf(p, "sagittaire-1", "sagittaire-1"); err == nil {
 		t.Fatal("expected error for self route")
 	}
 }
 
 func TestUnknownEndpointFails(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "nonexistent"); err == nil {
+	if _, err := routeOf(p, "sagittaire-1", "nonexistent"); err == nil {
 		t.Fatal("expected error for unknown endpoint")
 	}
 }
@@ -154,7 +165,7 @@ func TestMissingRouteFails(t *testing.T) {
 	a, _ := p.Root().AddHost("a", 1e9)
 	b, _ := p.Root().AddHost("b", 1e9)
 	_, _ = a, b
-	if _, err := p.RouteBetween("a", "b"); err == nil {
+	if _, err := routeOf(p, "a", "b"); err == nil {
 		t.Fatal("expected error for missing route")
 	}
 }
@@ -207,7 +218,7 @@ func TestClusterRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := p.RouteBetween("n1", "n2")
+	r, err := routeOf(p, "n1", "n2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestClusterRouting(t *testing.T) {
 	}
 
 	// Host to the cluster router: private link + backbone only.
-	r2, err := p.RouteBetween("n3", "sw")
+	r2, err := routeOf(p, "n3", "sw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +257,7 @@ func TestClusterRoutingNoBackbone(t *testing.T) {
 	if err := as.SetClusterTopology("sw", 125e6, 1e-4, Shared, nil); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.RouteBetween("a", "b")
+	r, err := routeOf(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +294,7 @@ func TestFloydRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := p.RouteBetween("a", "b")
+	r, err := routeOf(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +306,7 @@ func TestFloydRouting(t *testing.T) {
 	}
 
 	// Reverse direction must also resolve (symmetrical edges).
-	rrev, err := p.RouteBetween("b", "a")
+	rrev, err := routeOf(p, "b", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +342,7 @@ func TestFloydPicksShortestPath(t *testing.T) {
 	if err := as.AddRoute("r", "b", []LinkUse{{h2, None}}, true); err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.RouteBetween("a", "b")
+	r, err := routeOf(p, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,17 +357,23 @@ func TestFloydPicksShortestPath(t *testing.T) {
 
 func TestRouteCacheInvalidation(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	if _, err := p.RouteBetween("sagittaire-1", "sagittaire-2"); err != nil {
+	s := p.Snapshot()
+	r1, err := s.Route("sagittaire-1", "sagittaire-2")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.cache) == 0 {
-		t.Fatal("route not cached")
+	if r2, _ := p.Snapshot().Route("sagittaire-1", "sagittaire-2"); r2 != r1 {
+		t.Fatal("warm route not memoized")
 	}
 	if _, err := p.Root().AddLink("new", 1e9, 0, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if len(p.cache) != 0 {
-		t.Fatal("cache not invalidated by mutation")
+	r3, err := p.Snapshot().Route("sagittaire-1", "sagittaire-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3 == r1 {
+		t.Fatal("route memo not invalidated by mutation")
 	}
 }
 
@@ -376,7 +393,7 @@ func TestHostProps(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsBadGateway(t *testing.T) {
+func TestSnapshotRouteRejectsDanglingGateway(t *testing.T) {
 	p := New("root", RoutingFull)
 	root := p.Root()
 	a, _ := root.AddAS("A", RoutingFull)
@@ -392,30 +409,36 @@ func TestValidateDetectsBadGateway(t *testing.T) {
 	if err := root.AddASRoute("A", "ghost", "B", "hb", []LinkUse{{l, None}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(0); err == nil {
-		t.Fatal("Validate accepted dangling gateway")
+	if _, err := p.Snapshot().Route("ha", "hb"); err == nil {
+		t.Fatal("route through a dangling gateway resolved")
 	}
 }
 
-func TestValidatePasses(t *testing.T) {
-	p := buildTwoSitePlatform(t)
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-}
-
+// TestResolveAllHostPairs resolves every ordered host pair on the compiled
+// snapshot — the whole-platform check hierarchical routing makes cheap.
 func TestResolveAllHostPairs(t *testing.T) {
 	p := buildTwoSitePlatform(t)
-	st, err := p.ResolveAllHostPairs()
-	if err != nil {
-		t.Fatal(err)
+	s := p.Snapshot()
+	pairs, refs := 0, 0
+	for _, a := range p.Hosts() {
+		for _, b := range p.Hosts() {
+			if a == b {
+				continue
+			}
+			r, err := s.Route(a.ID, b.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs++
+			refs += len(r.Refs)
+		}
 	}
 	// 6 hosts -> 30 ordered pairs.
-	if st.Pairs != 30 {
-		t.Errorf("pairs = %d, want 30", st.Pairs)
+	if pairs != 30 {
+		t.Errorf("pairs = %d, want 30", pairs)
 	}
-	if st.AvgLength < 2 || st.AvgLength > 3 {
-		t.Errorf("avg route length = %v, implausible", st.AvgLength)
+	if avg := float64(refs) / float64(pairs); avg < 2 || avg > 3 {
+		t.Errorf("avg route length = %v, implausible", avg)
 	}
 }
 

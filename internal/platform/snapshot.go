@@ -25,9 +25,8 @@ import (
 // Concurrency: a Snapshot is immutable after Compile; every read — index
 // lookups, link state, route resolution — is lock-free. Cold route
 // resolutions race benignly on an atomic publish (both compute the same
-// immutable value; the first wins). This is what lets concurrent forecast
-// workers resolve warm routes without serializing on the RWMutex that
-// guards the builder Platform's route memo.
+// immutable value; the first wins), so concurrent forecast workers resolve
+// warm routes without serializing on any lock.
 
 // LinkRef packs one link traversal of a compiled route into an int32: the
 // link's dense index shifted left by two bits, or-ed with the traversal
@@ -228,8 +227,8 @@ func packPair(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(
 // share. Most callers want Snapshot, which memoizes the compilation until
 // the next mutation.
 func (p *Platform) Compile() *Snapshot {
-	// Floyd tables are built lazily by the query path under p.mu; take the
-	// same lock so compiling during live traffic is safe.
+	// Floyd tables are built lazily below; the lock serializes compiles
+	// that race on the Snapshot memo.
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
@@ -393,6 +392,69 @@ func (p *Platform) Compile() *Snapshot {
 		speed: buildPages(t.hostSpeed),
 	}
 	return s
+}
+
+// buildFloyd runs Floyd-Warshall over the declared edges on dense index
+// matrices: points map to indices over the sorted name list, and distance
+// and next-hop live in flat n×n arrays — no map hashing in the O(n³)
+// relaxation. Tie-breaking is identical to the historical map-based
+// implementation (see TestBuildFloydMatchesMapReference): names are
+// visited in sorted order, an unreachable pair behaves as +Inf, and the
+// same epsilons apply.
+func (as *AS) buildFloyd() {
+	names := make([]string, 0, len(as.points))
+	for n := range as.points {
+		names = append(names, n)
+	}
+	// Deterministic order for reproducible tie-breaking.
+	sort.Strings(names)
+	n := len(names)
+	idx := make(map[string]int32, n)
+	for i, name := range names {
+		idx[name] = int32(i)
+	}
+
+	dist := make([]float64, n*n)
+	next := make([]int32, n*n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		next[i] = -1
+	}
+	for k, e := range as.edges {
+		// Edge cost: latency with a small per-hop epsilon so that
+		// zero-latency platforms still prefer fewer hops.
+		i, j := int(idx[k.src]), int(idx[k.dst])
+		c := e.Latency + 1e-12
+		if c < dist[i*n+j] {
+			dist[i*n+j] = c
+			next[i*n+j] = int32(j)
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			dik := dist[i*n+k]
+			if math.IsInf(dik, 1) {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if i == j {
+					continue
+				}
+				dkj := dist[k*n+j]
+				if math.IsInf(dkj, 1) {
+					continue
+				}
+				if dik+dkj < dist[i*n+j]-1e-15 {
+					dist[i*n+j] = dik + dkj
+					next[i*n+j] = next[i*n+k]
+				}
+			}
+		}
+	}
+	as.floydNames = names
+	as.floydIdx = idx
+	as.floydNext = next
+	as.floydBuilt = true
 }
 
 // buildPages packs a flat array into state pages.
@@ -688,11 +750,13 @@ func (s *Snapshot) RouteLatency(r *CompiledRoute) float64 {
 }
 
 // Route resolves the end-to-end route between two hosts (or routers) in
-// compiled form. Resolution mirrors Platform.RouteBetween — same AS walk,
-// same tables, bit-identical link order and latency sums — but reads only
-// immutable compiled state: warm routes are a lock-free map load, cold
-// ones a pure computation published for the next caller. The returned
-// route is shared and must not be mutated.
+// compiled form, walking the AS hierarchy the way SimGrid's hierarchical
+// routing does: find the deepest common ancestor AS of src and dst,
+// resolve the local route between the netpoints representing them there,
+// and splice in the routes to the gateways of the chosen AS-level route.
+// It reads only immutable compiled state: warm routes are two atomic
+// loads, cold ones a pure computation published for the next caller. The
+// returned route is shared and must not be mutated.
 func (s *Snapshot) Route(src, dst string) (*CompiledRoute, error) {
 	if src == dst {
 		return nil, fmt.Errorf("platform: route from %q to itself", src)

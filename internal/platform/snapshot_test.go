@@ -145,8 +145,8 @@ func requireSameRoute(t *testing.T, s *Snapshot, want Route, got *CompiledRoute,
 	}
 }
 
-// TestSnapshotRouteEquivalence checks Snapshot.Route against RouteBetween
-// for every endpoint pair of a platform mixing Full, Floyd and Cluster
+// TestSnapshotRouteEquivalence checks Snapshot.Route against the reference
+// resolver (route_ref_test.go) for every endpoint pair of a platform mixing Full, Floyd and Cluster
 // routing.
 func TestSnapshotRouteEquivalence(t *testing.T) {
 	p := buildMixedPlatform(t, 4)
@@ -163,10 +163,10 @@ func TestSnapshotRouteEquivalence(t *testing.T) {
 			if a == b {
 				continue
 			}
-			want, errW := p.RouteBetween(a, b)
+			want, errW := p.refRoute(a, b)
 			got, errG := s.Route(a, b)
 			if (errW == nil) != (errG == nil) {
-				t.Fatalf("%s->%s: RouteBetween err=%v, Snapshot err=%v", a, b, errW, errG)
+				t.Fatalf("%s->%s: reference err=%v, Snapshot err=%v", a, b, errW, errG)
 			}
 			if errW != nil {
 				continue
@@ -290,7 +290,7 @@ func TestWithLinkState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.RouteBetween(pair[0], pair[1])
+		want, err := p.refRoute(pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 			if a == b {
 				continue
 			}
-			r, err := p.RouteBetween(a.ID, b.ID)
+			r, err := p.refRoute(a.ID, b.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,29 +386,34 @@ func TestSnapshotConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// TestValidateSamplesAcrossClusters checks that Validate's host sampling
-// strides across the whole (sorted) host list instead of taking the first
-// N names, which on multi-cluster platforms all come from one cluster.
-func TestValidateSamplesAcrossClusters(t *testing.T) {
-	p := buildMixedPlatform(t, 10) // clusters: cl-*, lyon-*, mesh-0, nancy-*
-	if err := p.Validate(6); err != nil {
+// TestConcurrentCompile races compilations of a fresh platform, whose
+// Floyd tables Compile builds lazily; under -race this pins that
+// Compile is serialized. Every compile must resolve the same routes.
+func TestConcurrentCompile(t *testing.T) {
+	p := buildMixedPlatform(t, 3)
+	var wg sync.WaitGroup
+	snaps := make([]*Snapshot, 8)
+	for g := range snaps {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				snaps[g] = p.Compile()
+			} else {
+				snaps[g] = p.Snapshot()
+			}
+		}(g)
+	}
+	wg.Wait()
+	want, err := p.refRoute("mesh-0", "lyon-1")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Break a route of the *last* cluster in sorted host order (nancy): a
-	// first-N sample (all cl-* hosts) would never notice. nancy-4 is the
-	// host a 6-of-31 stride lands on; dropping its gateway route breaks
-	// every cross-AS path that ends there.
-	as := p.Root().Children()[1] // AS_nancy
-	if as.ID != "AS_nancy" {
-		t.Fatalf("unexpected AS order: %s", as.ID)
-	}
-	delete(as.routes, pairKey{"nancy-gw", "nancy-4"})
-	p.InvalidateRouteCache()
-	if err := p.Validate(0); err == nil {
-		t.Fatal("sanity: full validation should fail on the broken route")
-	}
-	p.InvalidateRouteCache()
-	if err := p.Validate(6); err == nil {
-		t.Fatal("stride sampling (6 of 31 hosts) should reach the nancy cluster and fail")
+	for _, s := range snaps {
+		got, err := s.Route("mesh-0", "lyon-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameRoute(t, s, want, got, "mesh-0", "lyon-1")
 	}
 }

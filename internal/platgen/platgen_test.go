@@ -24,9 +24,7 @@ func TestGenerateTestVariantMini(t *testing.T) {
 	if p.NumHosts() != 14 { // 6 sagittaire + 8 graphene
 		t.Errorf("hosts = %d, want 14", p.NumHosts())
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireHostPairsRoute(t, p, 0)
 }
 
 func TestGenerateFullDataset(t *testing.T) {
@@ -36,15 +34,13 @@ func TestGenerateFullDataset(t *testing.T) {
 		t.Errorf("hosts = %d, want %d", p.NumHosts(), ref.NumNodes())
 	}
 	// Spot-check routes rather than all ~266k pairs.
-	if err := p.Validate(40); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireHostPairsRoute(t, p, 40)
 }
 
 func TestIntraClusterRouteFlat(t *testing.T) {
 	// sagittaire is flat: two nodes' route is just the two NICs.
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr")
+	r, err := routeOf(p, "sagittaire-1.lyon.grid5000.fr", "sagittaire-2.lyon.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +57,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 	// graphene-1 (sgraphene1) to graphene-5 (sgraphene2) in Mini crosses
 	// both uplinks: nic, up1, up2, nic = 4 links.
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
+	r, err := routeOf(p, "graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +69,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 		t.Errorf("route misses uplink: %v", ids)
 	}
 	// Same group: NICs only (non-blocking switch).
-	r2, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
+	r2, err := routeOf(p, "graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +80,7 @@ func TestIntraClusterRouteGrouped(t *testing.T) {
 
 func TestCrossSiteRoute(t *testing.T) {
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
+	r, err := routeOf(p, "sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +100,7 @@ func TestCrossSiteRoute(t *testing.T) {
 
 func TestMeasuredLatenciesOption(t *testing.T) {
 	p := genTest(t, g5k.Mini(), Options{Variant: G5KTest, UseMeasuredLatencies: true})
-	r, err := p.RouteBetween("sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
+	r, err := routeOf(p, "sagittaire-1.lyon.grid5000.fr", "graphene-1.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +143,7 @@ func TestEquipmentLimitsOption(t *testing.T) {
 		t.Error("missing gw-nancy backplane link")
 	}
 	// A same-group graphene route passes through its switch backplane.
-	r, err := lim.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
+	r, err := routeOf(lim, "graphene-1.nancy.grid5000.fr", "graphene-2.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +158,7 @@ func TestEquipmentLimitsOption(t *testing.T) {
 			if a == b {
 				continue
 			}
-			rr, err := lim.RouteBetween(a.ID, b.ID)
+			rr, err := routeOf(lim, a.ID, b.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,12 +179,10 @@ func TestGenerateCabinets(t *testing.T) {
 	if p.NumHosts() != ref.NumNodes() {
 		t.Errorf("hosts = %d, want %d", p.NumHosts(), ref.NumNodes())
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireHostPairsRoute(t, p, 0)
 	// Abstraction: graphene's intra-cluster cross-group route goes
 	// through the aggregated cluster backbone, not individual uplinks.
-	r, err := p.RouteBetween("graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
+	r, err := routeOf(p, "graphene-1.nancy.grid5000.fr", "graphene-5.nancy.grid5000.fr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +221,7 @@ func TestFlatVariant(t *testing.T) {
 	if len(p.Root().Children()) != 0 {
 		t.Error("flat platform should have no child AS")
 	}
-	if err := p.Validate(0); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
+	requireHostPairsRoute(t, p, 0)
 	// Flat and hierarchical must resolve identical link sequences.
 	h := genTest(t, ref, Options{Variant: G5KTest})
 	for _, pair := range [][2]string{
@@ -237,11 +229,11 @@ func TestFlatVariant(t *testing.T) {
 		{"graphene-1.nancy.grid5000.fr", "graphene-6.nancy.grid5000.fr"},
 		{"sagittaire-2.lyon.grid5000.fr", "graphene-7.nancy.grid5000.fr"},
 	} {
-		rf, err := p.RouteBetween(pair[0], pair[1])
+		rf, err := routeOf(p, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		rh, err := h.RouteBetween(pair[0], pair[1])
+		rh, err := routeOf(h, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +282,7 @@ func TestSimulationOnGeneratedPlatform(t *testing.T) {
 	p := genTest(t, g5k.Default(), Options{Variant: G5KTest})
 	cfg := sim.DefaultConfig()
 	cfg.GammaUsesLatencyFactor = true
-	res, err := sim.Predict(p, cfg, []sim.Transfer{
+	res, err := sim.Predict(p.Snapshot(), cfg, []sim.Transfer{
 		{Src: "capricorne-36.lyon.grid5000.fr", Dst: "griffon-50.nancy.grid5000.fr", Size: 5e8},
 		{Src: "capricorne-36.lyon.grid5000.fr", Dst: "capricorne-1.lyon.grid5000.fr", Size: 5e8},
 	})
@@ -303,6 +295,43 @@ func TestSimulationOnGeneratedPlatform(t *testing.T) {
 	}
 	if intra < 4 || intra > 6 {
 		t.Errorf("intra duration %.3f s outside plausible band [4,6]", intra)
+	}
+}
+
+// routeOf resolves src->dst on the platform's compiled snapshot and
+// expands the result back to builder links.
+func routeOf(p *platform.Platform, src, dst string) (platform.Route, error) {
+	s := p.Snapshot()
+	r, err := s.Route(src, dst)
+	if err != nil {
+		return platform.Route{}, err
+	}
+	return platform.Route{Links: s.ExpandRoute(r), Latency: s.RouteLatency(r)}, nil
+}
+
+// requireHostPairsRoute asserts every ordered host pair resolves on the
+// compiled snapshot. limit > 0 stride-samples that many hosts across the
+// sorted host list, so the sample spans every cluster and site.
+func requireHostPairsRoute(t *testing.T, p *platform.Platform, limit int) {
+	t.Helper()
+	hosts := p.Hosts()
+	if limit > 0 && len(hosts) > limit {
+		sampled := make([]*platform.Host, limit)
+		for i := range sampled {
+			sampled[i] = hosts[i*len(hosts)/limit]
+		}
+		hosts = sampled
+	}
+	s := p.Snapshot()
+	for _, a := range hosts {
+		for _, b := range hosts {
+			if a == b {
+				continue
+			}
+			if _, err := s.Route(a.ID, b.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

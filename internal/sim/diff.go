@@ -7,8 +7,9 @@ import (
 // Differential plan evaluation: one base run + N cheap deltas. Scenario
 // sweeps ask the same queries against many epochs that differ from a
 // shared base by a handful of mutations. Instead of simulating every
-// (epoch, query) cell cold, the runner computes each query's resource
-// footprint once, classifies it against each epoch's delta, and answers:
+// (epoch, query) cell cold, the evaluator (pilgrim.Evaluator) computes
+// each query's resource footprint once (PlanFootprint), classifies it
+// against each epoch's delta (Classify), and answers:
 //
 //   - ClassReuse — the footprint misses the delta entirely: the base
 //     result is provably bit-identical, no simulation at all;
@@ -212,115 +213,4 @@ func (pc *PlanCheckpoint) Fork(snap *platform.Snapshot) (PlanResult, bool) {
 	res := finishPlanQuery(fe, &pc.q, pc.ids)
 	ReleaseEngine(fe)
 	return res, true
-}
-
-// DiffStats summarizes how a differential plan run answered its cells.
-type DiffStats struct {
-	// Reused cells took the base answer with no simulation.
-	Reused int
-	// Forked cells replayed from the base checkpoint.
-	Forked int
-	// Cold cells ran a full simulation.
-	Cold int
-	// ResolvedConstraints is the total number of bandwidth-changed
-	// constraints re-priced across all forked cells.
-	ResolvedConstraints int
-}
-
-// RunPlanDiff answers every query of the plan against the base epoch and
-// against each member epoch, using the cheapest sound strategy per
-// (member, query) cell. Results are bit-identical to RunPlan on each
-// epoch separately. Reused cells share the base PlanResult value
-// (including its Results slice) — treat results as read-only.
-func RunPlanDiff(base *platform.Snapshot, cfg Config, queries []PlanQuery, members []*platform.Snapshot) (baseOut []PlanResult, memberOut [][]PlanResult, stats DiffStats) {
-	baseOut = make([]PlanResult, len(queries))
-	memberOut = make([][]PlanResult, len(members))
-	for mi := range memberOut {
-		memberOut[mi] = make([]PlanResult, len(queries))
-	}
-	if len(queries) == 0 {
-		return baseOut, memberOut, stats
-	}
-	deltas := make([]*platform.EpochDelta, len(members))
-	for mi, m := range members {
-		deltas[mi], _ = platform.DiffSnapshots(base, m) // nil on topology mismatch -> cold
-	}
-
-	coldIdx := make([][]int, len(members))
-	classes := make([]DeltaClass, len(members))
-	e := AcquireEngineSnapshot(base, cfg)
-	defer ReleaseEngine(e)
-	for qi := range queries {
-		q := &queries[qi]
-		if qi > 0 {
-			e.Reset()
-		}
-		f := PlanFootprint(base, q)
-		needFork := false
-		for mi := range members {
-			classes[mi] = f.Classify(deltas[mi])
-			if classes[mi] == ClassFork {
-				needFork = true
-			}
-		}
-		ids, err := setupPlanQuery(e, q)
-		var ck *EngineCheckpoint
-		if err != nil {
-			baseOut[qi] = PlanResult{Err: err}
-		} else {
-			if needFork {
-				// Capture at C0: activities scheduled, event loop not yet
-				// started, no constraint materialized. setupPlanQuery
-				// schedules with nil callbacks, so Checkpoint cannot fail.
-				ck, _ = e.Checkpoint()
-			}
-			baseOut[qi] = finishPlanQuery(e, q, ids)
-		}
-		for mi := range members {
-			switch classes[mi] {
-			case ClassReuse:
-				// Footprint misses the delta: identical schedule-time
-				// admission, identical capacities, identical latencies —
-				// the base answer (or base setup error) is the member's.
-				memberOut[mi][qi] = baseOut[qi]
-				stats.Reused++
-			case ClassFork:
-				if ck == nil {
-					// Base setup failed before a checkpoint existed; the
-					// member's bandwidths differ so the base error cannot
-					// be soundly reused. Run it cold.
-					coldIdx[mi] = append(coldIdx[mi], qi)
-					continue
-				}
-				fe, ferr := ForkFrom(ck, members[mi])
-				if ferr != nil {
-					coldIdx[mi] = append(coldIdx[mi], qi)
-					continue
-				}
-				memberOut[mi][qi] = finishPlanQuery(fe, q, ids)
-				ReleaseEngine(fe)
-				stats.Forked++
-				stats.ResolvedConstraints += f.TouchedBw(deltas[mi])
-			case ClassCold:
-				coldIdx[mi] = append(coldIdx[mi], qi)
-			}
-		}
-	}
-
-	// Cold backlogs run batched per member, one pooled engine each.
-	for mi, idxs := range coldIdx {
-		if len(idxs) == 0 {
-			continue
-		}
-		qs := make([]PlanQuery, len(idxs))
-		for j, qi := range idxs {
-			qs[j] = queries[qi]
-		}
-		res := RunPlan(members[mi], cfg, qs)
-		for j, qi := range idxs {
-			memberOut[mi][qi] = res[j]
-		}
-		stats.Cold += len(idxs)
-	}
-	return baseOut, memberOut, stats
 }

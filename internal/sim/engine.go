@@ -147,14 +147,8 @@ type Engine struct {
 
 	events int // sharing recomputations, for benchmarks
 
-	pooled bool // eligible for the engine pool (created by AcquireEngine)
+	pooled bool // eligible for the engine pool (created by AcquireEngineSnapshot)
 	inPool bool // currently sitting in the pool's free list
-}
-
-// NewEngine creates an engine over the given platform's current base
-// snapshot with the given model configuration.
-func NewEngine(plat *platform.Platform, cfg Config) *Engine {
-	return NewEngineSnapshot(plat.Snapshot(), cfg)
 }
 
 // NewEngineSnapshot creates an engine over one compiled platform epoch.
@@ -175,7 +169,7 @@ func NewEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 // keeping every internal buffer: the arena structs, the event heap's
 // storage, the flow system's recycled variables and constraints, and the
 // constraint map's buckets. A reset engine is observably identical to a
-// fresh NewEngine (same ids, same solver serials, bit-identical results)
+// fresh NewEngineSnapshot (same ids, same solver serials, bit-identical results)
 // but re-running a same-shaped workload allocates almost nothing. Callers
 // must drop any ActivityID obtained before the reset.
 func (e *Engine) Reset() {

@@ -58,6 +58,7 @@ type refConstraintKey struct {
 type refEngine struct {
 	cfg   Config
 	plat  *platform.Platform
+	snap  *platform.Snapshot
 	now   float64
 	acts  []*refActivity // id order
 	dirty bool
@@ -71,16 +72,18 @@ func newRefEngine(plat *platform.Platform, cfg Config) *refEngine {
 	return &refEngine{
 		cfg:   cfg,
 		plat:  plat,
+		snap:  plat.Snapshot(),
 		sys:   flow.NewSystem(),
 		cnsts: make(map[refConstraintKey]*flow.Constraint),
 	}
 }
 
 func (e *refEngine) addComm(src, dst string, size, start float64, onDone func(float64)) (ActivityID, error) {
-	route, err := e.plat.RouteBetween(src, dst)
+	r, err := e.snap.Route(src, dst)
 	if err != nil {
 		return 0, err
 	}
+	route := platform.Route{Links: e.snap.ExpandRoute(r), Latency: e.snap.RouteLatency(r)}
 	a := &refActivity{
 		id:        ActivityID(len(e.acts)),
 		kind:      commActivity,
@@ -502,7 +505,7 @@ func TestHeapKernelMatchesScanReference(t *testing.T) {
 				cfg.TCPGamma = 0 // exercise the unbounded-variable path too
 			}
 
-			eng := NewEngine(plat, cfg)
+			eng := NewEngineSnapshot(plat.Snapshot(), cfg)
 			engDates, engChain := runWorkload(t, w, kernelOps{
 				addComm:  eng.AddComm,
 				addExec:  eng.AddExec,
@@ -559,7 +562,7 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 	plat := buildRandomPlatform(t, rng, 7)
 	cfg := DefaultConfig()
 
-	e := AcquireEngine(plat, cfg)
+	e := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	for i := 0; i < 6; i++ {
 		if _, err := e.AddComm(fmt.Sprintf("h%d", i), fmt.Sprintf("h%d", i+1), 1e8, 0, nil); err != nil {
 			t.Fatal(err)
@@ -584,7 +587,7 @@ func TestEnginePoolReuseAfterAbandonedRun(t *testing.T) {
 	}
 	ReleaseEngine(e)
 
-	e = AcquireEngine(plat, cfg)
+	e = AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	defer ReleaseEngine(e)
 	if _, err := e.AddComm("h0", "h1", 1e6, 0, nil); err != nil {
 		t.Fatal(err)
@@ -616,15 +619,15 @@ func TestEnginePoolBitIdentical(t *testing.T) {
 		return dates, chain, e.Resharings()
 	}
 
-	fresh := NewEngine(plat, cfg)
+	fresh := NewEngineSnapshot(plat.Snapshot(), cfg)
 	fd, fc, fr := run(fresh)
 
 	// Churn the pool: acquire, run, release, then run the real comparison
 	// on a recycled engine.
-	warm := AcquireEngine(plat, cfg)
+	warm := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	run(warm)
 	ReleaseEngine(warm)
-	recycled := AcquireEngine(plat, cfg)
+	recycled := AcquireEngineSnapshot(plat.Snapshot(), cfg)
 	defer ReleaseEngine(recycled)
 	rd, rc, rr := run(recycled)
 

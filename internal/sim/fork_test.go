@@ -70,14 +70,18 @@ func randomPlanQueries(rng *rand.Rand, h int) []PlanQuery {
 	return queries
 }
 
-// TestRunPlanDiffMatchesCold is the differential-vs-cold bit-identity
-// property test of the fork tentpole: for random platforms, workloads,
-// and overlay members (bandwidth scales on used and unused links,
-// latency changes, link and host failures, even foreign topologies),
-// every cell RunPlanDiff answers — by reuse, fork, or cold fallback —
-// must be bit-identical to a cold RunPlan on that member epoch.
-func TestRunPlanDiffMatchesCold(t *testing.T) {
-	var totals DiffStats
+// TestPlanDifferentialMatchesCold is the differential-vs-cold bit-identity
+// property test of the fork primitives, composed the way pilgrim's
+// evaluator composes them: each (member, query) cell is classified from
+// the query's PlanFootprint against the member's delta, then answered by
+// reusing the base result, by forking the base run's checkpoint
+// (RunPlanCheckpoints, PlanCheckpoint.Fork), or by a cold RunPlan. For
+// random platforms, workloads, and overlay members (bandwidth scales on
+// used and unused links, latency changes, link and host failures, even
+// foreign topologies), every answer must be bit-identical to a cold
+// RunPlan on that member epoch.
+func TestPlanDifferentialMatchesCold(t *testing.T) {
+	var reused, forked, cold, repriced int
 	for seed := int64(1); seed <= 45; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		hosts := 4 + rng.Intn(4)
@@ -126,28 +130,62 @@ func TestRunPlanDiffMatchesCold(t *testing.T) {
 			members[mi] = m
 		}
 
-		baseOut, memberOut, stats := RunPlanDiff(base, cfg, queries, members)
+		deltas := make([]*platform.EpochDelta, len(members))
+		for mi, m := range members {
+			deltas[mi], _ = platform.DiffSnapshots(base, m) // nil on topology mismatch -> cold
+		}
+		footprints := make([]Footprint, len(queries))
+		classes := make([][]DeltaClass, len(queries))
+		want := make([]bool, len(queries))
+		for qi := range queries {
+			footprints[qi] = PlanFootprint(base, &queries[qi])
+			classes[qi] = make([]DeltaClass, len(members))
+			for mi := range members {
+				classes[qi][mi] = footprints[qi].Classify(deltas[mi])
+				want[qi] = want[qi] || classes[qi][mi] == ClassFork
+			}
+		}
+
+		baseOut, cks := RunPlanCheckpoints(base, cfg, queries, want)
 		requireSamePlanResults(t, fmt.Sprintf("seed %d base", seed),
 			baseOut, RunPlan(base, cfg, queries))
 		for mi, m := range members {
-			requireSamePlanResults(t, fmt.Sprintf("seed %d member %d", seed, mi),
-				memberOut[mi], RunPlan(m, cfg, queries))
+			coldOut := RunPlan(m, cfg, queries)
+			for qi := range queries {
+				var got PlanResult
+				answered := false
+				switch classes[qi][mi] {
+				case ClassReuse:
+					// Footprint misses the delta: the base answer (or base
+					// setup error) is the member's.
+					got, answered = baseOut[qi], true
+					reused++
+				case ClassFork:
+					// A nil checkpoint means the base setup failed; the
+					// member's bandwidths differ, so it runs cold.
+					if cks[qi] != nil {
+						if got, answered = cks[qi].Fork(m); answered {
+							forked++
+							repriced += footprints[qi].TouchedBw(deltas[mi])
+						}
+					}
+				}
+				if !answered {
+					got = RunPlan(m, cfg, queries[qi:qi+1])[0]
+					cold++
+				}
+				requireSamePlanResults(t, fmt.Sprintf("seed %d member %d query %d", seed, mi, qi),
+					[]PlanResult{got}, coldOut[qi:qi+1])
+			}
 		}
-		if got, want := stats.Reused+stats.Forked+stats.Cold, len(members)*len(queries); got != want {
-			t.Fatalf("seed %d: stats cover %d cells, want %d (%+v)", seed, got, want, stats)
-		}
-		totals.Reused += stats.Reused
-		totals.Forked += stats.Forked
-		totals.Cold += stats.Cold
-		totals.ResolvedConstraints += stats.ResolvedConstraints
 	}
 	// The sweep must exercise all three strategies, or the test proves
 	// less than it claims.
-	if totals.Reused == 0 || totals.Forked == 0 || totals.Cold == 0 {
-		t.Fatalf("strategy coverage hole: %+v", totals)
+	if reused == 0 || forked == 0 || cold == 0 {
+		t.Fatalf("strategy coverage hole: reused=%d forked=%d cold=%d", reused, forked, cold)
 	}
-	if totals.Forked > 0 && totals.ResolvedConstraints == 0 {
-		t.Fatalf("forks re-priced no constraints: %+v", totals)
+	if repriced == 0 {
+		t.Fatalf("forks re-priced no constraints: forked=%d", forked)
 	}
 }
 

@@ -86,11 +86,11 @@ type Kernel struct {
 	running   bool
 }
 
-// NewKernel creates a kernel over the given platform and model
+// NewKernel creates a kernel over one compiled platform epoch and model
 // configuration.
-func NewKernel(plat *platform.Platform, cfg Config) *Kernel {
+func NewKernel(snap *platform.Snapshot, cfg Config) *Kernel {
 	return &Kernel{
-		engine:    NewEngine(plat, cfg),
+		engine:    NewEngineSnapshot(snap, cfg),
 		waiters:   make(map[ActivityID][]*Process),
 		mailboxes: make(map[string]*mailbox),
 	}

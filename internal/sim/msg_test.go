@@ -14,7 +14,7 @@ func kernelOnPair(t *testing.T) *Kernel {
 	cfg := DefaultConfig()
 	cfg.TCPGamma = 0
 	cfg.LatencyFactor = 1
-	return NewKernel(p, cfg)
+	return NewKernel(p.Snapshot(), cfg)
 }
 
 func TestMSGSendRecv(t *testing.T) {
@@ -247,7 +247,7 @@ func TestMSGMatchesBatchSimulation(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 
-	batch, err := Predict(mk(t), cfg, []Transfer{
+	batch, err := Predict(mk(t).Snapshot(), cfg, []Transfer{
 		{Src: "a", Dst: "b", Size: 7e8},
 		{Src: "a", Dst: "b", Size: 3e8},
 	})
@@ -255,7 +255,7 @@ func TestMSGMatchesBatchSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k := NewKernel(mk(t), cfg)
+	k := NewKernel(mk(t).Snapshot(), cfg)
 	durations := make([]float64, 2)
 	for i, size := range []float64{7e8, 3e8} {
 		i, size := i, size
@@ -296,7 +296,7 @@ func TestMSGMasterWorkers(t *testing.T) {
 		as.AddRoute("master", w, []platform.LinkUse{{Link: l, Direction: platform.None}}, true)
 	}
 	cfg := DefaultConfig()
-	k := NewKernel(p, cfg)
+	k := NewKernel(p.Snapshot(), cfg)
 
 	// Rendezvous semantics (send blocks until receipt) mean the master
 	// must not wait for acks it can only get after further sends; it

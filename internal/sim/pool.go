@@ -48,15 +48,10 @@ var (
 	pools   = make(map[poolKey]*enginePool)
 )
 
-// AcquireEngine returns a ready-to-use engine for the given platform's
-// current base snapshot, recycled from the process-wide pool when one is
+// AcquireEngineSnapshot returns a ready-to-use engine for one compiled
+// platform epoch, recycled from the process-wide pool when one is
 // available. Pass it back with ReleaseEngine when the simulation's
 // results have been read.
-func AcquireEngine(plat *platform.Platform, cfg Config) *Engine {
-	return AcquireEngineSnapshot(plat.Snapshot(), cfg)
-}
-
-// AcquireEngineSnapshot is AcquireEngine for one compiled platform epoch.
 func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 	key := poolKey{snap: snap, cfg: cfg}
 	poolsMu.Lock()
@@ -94,7 +89,7 @@ func AcquireEngineSnapshot(snap *platform.Snapshot, cfg Config) *Engine {
 
 // ReleaseEngine resets the engine and returns it to its pool. The caller
 // must not use the engine — or any ActivityID it handed out — afterwards.
-// Engines that did not come from AcquireEngine, and engines already
+// Engines that did not come from AcquireEngineSnapshot, and engines already
 // released, are ignored, so Release is always safe to call.
 func ReleaseEngine(e *Engine) {
 	if e == nil || !e.pooled || e.inPool {
