@@ -414,6 +414,44 @@ func TestSnapshotRouteRejectsDanglingGateway(t *testing.T) {
 	}
 }
 
+// TestValidatePasses is the positive counterpart of the dangling-gateway
+// test: on a well-formed platform every ASroute gateway names a netpoint,
+// and every host pair resolves on the snapshot to the reference route.
+func TestValidatePasses(t *testing.T) {
+	p := buildTwoSitePlatform(t)
+	var walk func(as *AS)
+	walk = func(as *AS) {
+		for key, ar := range as.asRoutes {
+			for _, gw := range []string{ar.gwSrc, ar.gwDst} {
+				if _, err := p.refAsOf(gw); err != nil {
+					t.Errorf("ASroute %s->%s in %q: gateway %q: %v", key.src, key.dst, as.ID, gw, err)
+				}
+			}
+		}
+		for _, c := range as.Children() {
+			walk(c)
+		}
+	}
+	walk(p.Root())
+	s := p.Snapshot()
+	for _, a := range p.Hosts() {
+		for _, b := range p.Hosts() {
+			if a == b {
+				continue
+			}
+			want, err := p.refRoute(a.ID, b.ID)
+			if err != nil {
+				t.Fatalf("reference %s->%s: %v", a.ID, b.ID, err)
+			}
+			got, err := s.Route(a.ID, b.ID)
+			if err != nil {
+				t.Fatalf("snapshot %s->%s: %v", a.ID, b.ID, err)
+			}
+			requireSameRoute(t, s, want, got, a.ID, b.ID)
+		}
+	}
+}
+
 // TestResolveAllHostPairs resolves every ordered host pair on the compiled
 // snapshot — the whole-platform check hierarchical routing makes cheap.
 func TestResolveAllHostPairs(t *testing.T) {
